@@ -26,15 +26,6 @@ Metrics (merged into the ``repro.obs`` registry): ``cache.hits``,
 ``cache.misses``, ``cache.writes``, ``cache.evictions``.
 """
 
-from repro.cache.journal import (
-    JOURNAL_FILE,
-    JOURNAL_SCHEMA,
-    RESUME_ENV,
-    JournalState,
-    RunJournal,
-    open_journal,
-    resolve_resume,
-)
 from repro.cache.keys import (
     SCHEMA_VERSION,
     ast_fingerprint,
@@ -47,18 +38,11 @@ from repro.cache.store import CACHE_DIR_ENV, SummaryStore, open_store, resolve_c
 __all__ = [
     "SCHEMA_VERSION",
     "CACHE_DIR_ENV",
-    "JOURNAL_FILE",
-    "JOURNAL_SCHEMA",
-    "JournalState",
-    "RESUME_ENV",
-    "RunJournal",
     "SummaryStore",
     "ast_fingerprint",
     "key_digest",
-    "open_journal",
     "open_store",
     "prepare_cache_key",
     "resolve_cache_dir",
-    "resolve_resume",
     "signature_fingerprint",
 ]

@@ -29,7 +29,7 @@ from repro.transform.connectors import ConnectorSignature
 #: fields, SSA naming, SEG vertex scheme, PointsToResult layout, or
 #: connector signature fields.  Old version directories are pruned the
 #: first time a newer-schema store opens the same cache dir.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def signature_fingerprint(signature: ConnectorSignature) -> Tuple:

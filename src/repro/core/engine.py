@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.context import Context, ContextAllocator, clone_term, ctx_bvar, ctx_ivar
@@ -251,7 +251,7 @@ class Pinpoint:
         # unchanged since the previous run.  ``prepare_digests`` maps
         # function name -> digest of its prepare cache key.
         self.check_memo: Optional["CheckMemo"] = None
-        self.prepare_digests: Dict[str, str] = {}
+        self.prepare_digests: Dict[str, str] = module.digests
         # Artifact store (set by from_source) so per-function escalation
         # can reuse/persist fs-tier artifacts under their own digests.
         self._store = None
@@ -314,8 +314,6 @@ class Pinpoint:
         jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
         worker_timeout: float = 0.0,
-        journal=None,
-        resume: bool = False,
     ) -> "Pinpoint":
         """Parse, prepare and index a program.
 
@@ -323,11 +321,8 @@ class Pinpoint:
         ``cache_dir`` persists per-function artifacts across runs.
         When either is left unset, the ``REPRO_JOBS`` /
         ``REPRO_CACHE_DIR`` environment variables apply (an explicit
-        ``jobs=1`` wins over the environment).  ``journal`` (a
-        :class:`repro.cache.RunJournal`) makes the preparation phase
-        crash-durable and ``resume=True`` replays a previous run's
-        journaled prefix.  Reports are byte-identical to a serial,
-        uncached, uninterrupted run."""
+        ``jobs=1`` wins over the environment).  Reports are
+        byte-identical to a serial, uncached run."""
         from repro.cache import open_store
         from repro.sched import resolve_jobs
 
@@ -345,8 +340,6 @@ class Pinpoint:
                 jobs=resolve_jobs(jobs),
                 store=store,
                 worker_timeout=worker_timeout,
-                journal=journal,
-                resume=resume,
             ),
             config,
             budget,
@@ -373,6 +366,24 @@ class Pinpoint:
         vertices = sum(f.seg.vertex_count() for f in self.functions.values())
         edges = sum(f.seg.edge_count() for f in self.functions.values())
         return vertices, edges
+
+    def line_shifts(self) -> Dict[str, int]:
+        """Function name -> how far its header moved since its artifacts
+        were prepared (nonzero entries only).
+
+        Reuse keys ignore line numbers, so a function reused after an
+        edit above it carries the lines of the version it was prepared
+        from.  Report lines and checker diagnostic lines are shifted by
+        this at the result boundary, which keeps reused artifacts and
+        the check memo valid across such edits.  The shift is exact when the function
+        itself only moved; line breaks changed *inside* a reused
+        function are not tracked."""
+        asts = self.module.asts
+        return {
+            name: asts[name].line - prepared.line
+            for name, prepared in self.module.functions.items()
+            if name in asts and asts[name].line != prepared.line
+        }
 
     # ------------------------------------------------------------------
     def check(self, checker: Checker) -> CheckResult:
@@ -650,6 +661,34 @@ class _TeeReports:
         return self._target.setdefault(key, report)
 
 
+def _shift_location(location: Location, shifts: Dict[str, int]) -> Location:
+    delta = shifts.get(location.function, 0)
+    if not delta or not location.line:
+        return location
+    return replace(location, line=location.line + delta)
+
+
+def _shift_report(report: BugReport, shifts: Dict[str, int]) -> BugReport:
+    """``report`` with every location moved by its function's shift (see
+    :meth:`Pinpoint.line_shifts`); a new object, because memoized
+    reports are replayed again later."""
+    if not shifts:
+        return report
+    return replace(
+        report,
+        source=_shift_location(report.source, shifts),
+        sink=_shift_location(report.sink, shifts),
+        path=tuple(_shift_location(loc, shifts) for loc in report.path),
+    )
+
+
+def _shift_diagnostic(diag, shifts: Dict[str, int]):
+    delta = shifts.get(diag.unit, 0)
+    if not delta or not diag.line:
+        return diag
+    return replace(diag, line=diag.line + delta)
+
+
 class _CheckerRun:
     """One checker's bottom-up pass (summaries + bug search)."""
 
@@ -725,7 +764,10 @@ class _CheckerRun:
             for pf in self.engine.functions.values()
         )
         self.stats.escalated_functions = len(self.engine._escalated)
-        diagnostics = list(self.engine.diagnostics) + list(self.diagnostics)
+        shifts = self.engine.line_shifts()
+        diagnostics = list(self.engine.diagnostics) + [
+            _shift_diagnostic(diag, shifts) for diag in self.diagnostics
+        ]
         self.stats.quarantined_units += len(
             self.engine.diagnostics.quarantined_units()
         )
@@ -739,7 +781,7 @@ class _CheckerRun:
         )
         return CheckResult(
             self.checker.name,
-            list(self.reports.values()),
+            [_shift_report(report, shifts) for report in self.reports.values()],
             self.stats,
             diagnostics=diagnostics,
         )
@@ -788,7 +830,11 @@ class _CheckerRun:
         for name in self.module.order:
             digest = self.engine.prepare_digests.get(name)
             memoizable = digest is not None and name in self.engine.functions
-            parts = [config_sig, str(digest)]
+            # Recorded lines are the artifacts' own (see
+            # Pinpoint.line_shifts), so the header line the artifacts
+            # were prepared at is part of the key; where the header
+            # sits now is not.
+            parts = [config_sig, str(digest), str(defined[name].line)]
             if memoizable:
                 for callee in sorted(callees_of.get(name, ())):
                     if callee == name:

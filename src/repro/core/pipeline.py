@@ -81,6 +81,11 @@ class PreparedFunction:
     # against it.
     pta_tier: str = "fi"
     flow: Optional[object] = None
+    # Source line of the function header when these artifacts were
+    # prepared.  Content keys ignore line numbers, so a function reused
+    # after an edit above it keeps its old lines; the engine shifts its
+    # report and diagnostic lines by the header's move.
+    line: int = 0
 
 
 @dataclass
@@ -105,6 +110,11 @@ class PreparedModule:
     # engine's per-function escalation path (--pta=fs) can re-prepare a
     # candidate function under the precise tier without re-parsing.
     asts: Dict[str, ast.FuncDef] = field(default_factory=dict)
+    # Reuse bookkeeping of the wave scheduler (empty/0 after
+    # prepare_module): each function's content-key digest, and how many
+    # functions came from a reuse tier instead of being prepared.
+    digests: Dict[str, str] = field(default_factory=dict)
+    reused: int = 0
 
     def __getitem__(self, name: str) -> PreparedFunction:
         return self.functions[name]
@@ -276,6 +286,7 @@ def prepare_function(
         alias_hazards=_find_alias_hazards(function, points_to),
         pta_tier=pta_tier,
         flow=flow,
+        line=func_ast.line,
     )
 
 
@@ -320,8 +331,6 @@ def prepare_source(
     jobs: int = 1,
     store=None,
     worker_timeout: float = 0.0,
-    journal=None,
-    resume: bool = False,
     pta_tier: str = "fi",
 ) -> PreparedModule:
     """Parse and prepare a program given as source text.
@@ -333,10 +342,7 @@ def prepare_source(
     ``jobs > 1`` prepares call-graph waves on a process pool and
     ``store`` (a :class:`repro.cache.SummaryStore`) persists/loads
     per-function artifacts; both route through the wave scheduler,
-    which guarantees results identical to the serial path.  ``journal``
-    (a :class:`repro.cache.RunJournal`) write-ahead-logs per-function
-    completion for crash durability, and ``resume=True`` replays the
-    journaled prefix of a previous run from the store."""
+    which guarantees results identical to the serial path."""
     if budget is not None:
         budget.start()
     get_progress().set_stage("parse")
@@ -345,7 +351,7 @@ def prepare_source(
             program = parse_program(source)
         return _prepare(
             program, budget, diagnostics, verify, jobs, store, worker_timeout,
-            journal, resume, pta_tier,
+            pta_tier,
         )
     log = diagnostics if diagnostics is not None else DiagnosticLog()
     with trace("parse", unit="<module>") as span:
@@ -360,8 +366,7 @@ def prepare_source(
             line=error.line,
         )
     return _prepare(
-        program, budget, log, verify, jobs, store, worker_timeout, journal,
-        resume, pta_tier,
+        program, budget, log, verify, jobs, store, worker_timeout, pta_tier
     )
 
 
@@ -373,13 +378,11 @@ def _prepare(
     jobs: int,
     store,
     worker_timeout: float,
-    journal=None,
-    resume: bool = False,
     pta_tier: str = "fi",
 ) -> PreparedModule:
-    """Serial pipeline, or the wave scheduler when parallelism, the
-    artifact cache, or the run journal is requested."""
-    if jobs and jobs > 1 or store is not None or journal is not None:
+    """Serial pipeline, or the wave scheduler when parallelism or the
+    artifact cache is requested."""
+    if jobs and jobs > 1 or store is not None:
         from repro.sched.scheduler import prepare_program
 
         return prepare_program(
@@ -390,8 +393,6 @@ def _prepare(
             verify=verify,
             store=store,
             worker_timeout=worker_timeout,
-            journal=journal,
-            resume=resume,
             pta_tier=pta_tier,
         )
     return prepare_module(

@@ -8,8 +8,16 @@ byte-identical downstream reports are the contract — while
 - dispatching per-function stage 1-3 work (connector transformation,
   intraprocedural points-to, SEG construction) for each call-graph wave
   onto a process pool (``jobs > 1``), and/or
-- loading and persisting per-function artifacts through an on-disk
-  :class:`~repro.cache.store.SummaryStore` (``--cache-dir``).
+- reusing per-function artifacts from an in-memory tier (a daemon
+  session's previous run) and loading/persisting them through an
+  on-disk :class:`~repro.cache.store.SummaryStore` (``--cache-dir``).
+
+This is the one bottom-up "key -> look up -> prepare -> store" loop
+beside the serial reference: the CLI's pool and store and the daemon's
+:class:`~repro.core.incremental.IncrementalAnalyzer` sessions all run
+through it, so every kind of reuse gets the same quarantine,
+verification and budget handling.  Budget-degraded artifacts are never
+reused: they would replay a budget's diagnostics into unbudgeted runs.
 
 Determinism is preserved by construction:
 
@@ -41,14 +49,12 @@ could not observe a shared deadline.  Cache lookups still apply.
 
 from __future__ import annotations
 
-import hashlib
 import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.cache.journal import JournalState, RunJournal
-from repro.cache.keys import ast_fingerprint, key_digest, prepare_cache_key
+from repro.cache.keys import key_digest, prepare_cache_key
 from repro.cache.store import SummaryStore
 from repro.core.pipeline import (
     PreparedFunction,
@@ -79,6 +85,12 @@ from repro.sched.waves import scc_waves
 _log = get_logger("sched")
 
 
+#: In-memory reuse tier: function name -> (content-key digest, prepared
+#: artifacts, SEG or None).  ``prepare_program`` reads it before the disk
+#: store and replaces its contents with the run's reusable functions.
+MemoryTier = Dict[str, Tuple[str, PreparedFunction, Any]]
+
+
 @dataclass
 class _Outcome:
     """Buffered per-function result, recorded into the module (and its
@@ -104,19 +116,15 @@ def prepare_program(
     verify: str = "",
     store: Optional[SummaryStore] = None,
     worker_timeout: float = 0.0,
-    journal: Optional[RunJournal] = None,
-    resume: bool = False,
     pta_tier: str = "fi",
+    memory: Optional[MemoryTier] = None,
 ) -> PreparedModule:
     """Prepare a parsed program across ``jobs`` processes with optional
-    artifact caching; drop-in replacement for ``prepare_module``.
+    artifact reuse; drop-in replacement for ``prepare_module``.
 
-    ``journal`` write-ahead-logs per-function completion so a killed
-    run leaves a consistent prefix; ``resume=True`` loads that prefix
-    and skips every journaled function whose current cache digest still
-    resolves in ``store`` — re-entering, effectively, at the first
-    incomplete wave, with reports byte-identical to an uninterrupted
-    run (skips replay the same content-addressed artifacts)."""
+    With ``memory`` or ``store`` every function's content-key digest is
+    recorded in ``PreparedModule.digests`` and the number served from
+    either tier in ``PreparedModule.reused``."""
     from repro.verify import (
         MODE_OFF,
         SEVERITY_ERROR,
@@ -174,41 +182,6 @@ def prepare_program(
     outcomes: Dict[str, _Outcome] = {}
     digest_of: Dict[str, str] = {}
 
-    # Crash durability: fingerprint the condensation, load any prior
-    # journal when resuming, and (re)start journaling this run.
-    journal_completed: frozenset = frozenset()
-    resume_entered = False  # first non-skipped function seen yet?
-    if journal is not None:
-        program_fp, condensation_fp = _condensation_fingerprints(
-            ast_by_name, serial_order, waves
-        )
-        state: Optional[JournalState] = journal.load() if resume else None
-        if resume and state is None:
-            _log.warning(
-                "resume requested but no usable run journal; starting fresh",
-                path=journal.path,
-            )
-        if state is not None:
-            journal_completed = frozenset(state.completed)
-            if state.program_fingerprint != program_fp:
-                _log.info(
-                    "source changed since the journaled run; resuming "
-                    "incrementally (only matching functions are skipped)",
-                    journaled=state.program_fingerprint,
-                    current=program_fp,
-                )
-        journal.begin(
-            program_fingerprint=program_fp,
-            condensation=condensation_fp,
-            waves=len(waves),
-            functions=len(serial_order),
-            jobs=effective_jobs,
-            resumed_from=state,
-        )
-        registry.gauge(
-            "sched.resumed", "1 when the last run resumed from a run journal"
-        ).set(1 if state is not None else 0)
-
     pool = WorkerPool(effective_jobs, timeout=worker_timeout) if effective_jobs > 1 else None
     tracer = get_tracer()
     # Cost attribution across the wave loop: per-wave wall, per-task
@@ -231,7 +204,7 @@ def prepare_program(
                         for callee, sig in signatures.items()
                         if scc_of.get(callee) != scc_of.get(name)
                     }
-                    if store is not None or journal is not None:
+                    if store is not None or memory is not None:
                         digest = key_digest(
                             prepare_cache_key(
                                 func_ast,
@@ -241,29 +214,13 @@ def prepare_program(
                             )
                         )
                         digest_of[name] = digest
-                        hit = store.get(digest) if store is not None else None
+                        hit = _lookup(name, digest, memory, store)
                         if hit is not None:
-                            _stored, result, seg = hit
+                            result, seg = hit
                             outcomes[name] = _Outcome(
                                 "prepared", result=result, seg=seg, cached=True
                             )
-                            if digest in journal_completed:
-                                # A journaled completion replayed from the
-                                # store: this is the resume fast path.
-                                registry.counter(
-                                    "journal.skips",
-                                    "Functions skipped on --resume (journaled "
-                                    "and still cache-resident)",
-                                ).inc()
                             continue
-                    if journal_completed and not resume_entered:
-                        # First function the journal cannot vouch for:
-                        # the wave we effectively re-enter the run at.
-                        resume_entered = True
-                        registry.gauge(
-                            "sched.resume_wave",
-                            "First incomplete wave a resumed run re-entered at",
-                        ).set(wave_index)
                     pending.append((name, func_ast, usable))
                 span.set(
                     functions=len(names),
@@ -364,24 +321,12 @@ def prepare_program(
                             out.admitted = False
                             continue
                     signatures[name] = result.signature
-                    stored = out.cached
                     if (
                         store is not None
                         and not out.cached
-                        and digest_of.get(name)
+                        and not result.points_to.degraded
                     ):
-                        stored = store.put(digest_of[name], name, result, out.seg)
-                    if (
-                        journal is not None
-                        and digest_of.get(name)
-                        and (stored or store is None)
-                    ):
-                        # Journal only completions whose artifacts are
-                        # durable (or that need no store at all): a
-                        # journaled digest must be replayable on resume.
-                        journal.record_function(
-                            name, digest_of[name], wave_index
-                        )
+                        store.put(digest_of[name], name, result, out.seg)
                 if task_seconds:
                     slowest = max(task_seconds, key=task_seconds.get)
                     span.set(
@@ -394,13 +339,11 @@ def prepare_program(
             work_seconds += sum(task_seconds.values())
             # The wave barrier cannot close before its slowest task; a
             # wave with no dispatched work still spends its wall time
-            # (cache lookups, journaling) on the critical path.
+            # (cache lookups) on the critical path.
             critical_path_seconds += (
                 max(task_seconds.values()) if task_seconds else wave_elapsed
             )
 
-            if journal is not None:
-                journal.record_wave(wave_index)
             wave_outcomes = [outcomes[name] for name in names]
             progress.wave_progress(
                 done=wave_index + 1,
@@ -489,41 +432,41 @@ def prepare_program(
         if out.seg is not None:
             prepared.segs[name] = out.seg
 
-    if journal is not None:
-        journal.finish()
+    prepared.reused = sum(1 for out in outcomes.values() if out.cached)
+    prepared.digests = digest_of
+    if memory is not None:
+        memory.clear()
+        for name in prepared.order:
+            result = prepared.functions[name]
+            if not result.points_to.degraded:
+                memory[name] = (digest_of[name], result, prepared.segs.get(name))
     _log.info(
         "module prepared",
         functions=len(prepared.functions),
         quarantined=len(serial_order) - len(prepared.functions),
         jobs=effective_jobs,
         waves=len(waves),
-        cached=sum(1 for out in outcomes.values() if out.cached),
+        cached=prepared.reused,
     )
     return prepared
 
 
-def _condensation_fingerprints(
-    ast_by_name: Dict[str, ast.FuncDef],
-    serial_order: List[str],
-    waves,
-) -> Tuple[str, str]:
-    """(program fingerprint, condensation fingerprint) for the journal.
-
-    The program fingerprint hashes every function's structural AST
-    fingerprint (whitespace/comment-insensitive, like the cache keys);
-    the condensation fingerprint additionally hashes the SCC wave plan,
-    so a resumed run can tell "same source" from "same source, same
-    schedule" when annotating its records."""
-    lines = [
-        f"{name}:{ast_fingerprint(ast_by_name[name])}"
-        for name in sorted(serial_order)
-    ]
-    program_fp = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
-    plan = repr([sorted(tuple(scc) for scc in wave) for wave in waves])
-    condensation_fp = hashlib.sha256(
-        (program_fp + plan).encode("utf-8")
-    ).hexdigest()[:16]
-    return program_fp, condensation_fp
+def _lookup(
+    name: str,
+    digest: str,
+    memory: Optional[MemoryTier],
+    store: Optional[SummaryStore],
+) -> Optional[Tuple[PreparedFunction, Any]]:
+    """(artifacts, SEG or None) for ``digest``: the in-memory tier first,
+    then the disk store."""
+    entry = memory.get(name) if memory is not None else None
+    if entry is not None and entry[0] == digest:
+        return entry[1], entry[2]
+    if store is not None:
+        hit = store.get(digest)
+        if hit is not None:
+            return hit[1], hit[2]
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -535,11 +478,8 @@ def _run_inline(
     budget: Optional[ResourceBudget],
     pta_tier: str = "fi",
 ) -> _Outcome:
-    """In-process task execution (``jobs=1`` with a cache dir): serial
-    pipeline semantics, plus an eager SEG build so the artifact can be
-    persisted whole."""
-    from repro.seg.builder import build_seg
-
+    """In-process task execution: serial pipeline semantics.  The SEG is
+    left to the engine, exactly as after ``prepare_module``."""
     try:
         with trace("prepare.fn", unit=name):
             fault_point("prepare", name)
@@ -555,16 +495,7 @@ def _run_inline(
             detail=f"{type(error).__name__}: {error}",
             line=getattr(error, "line", 0) or 0,
         )
-    seg = None
-    try:
-        seg = build_seg(result)
-    except FATAL:
-        raise
-    except Exception:
-        # The engine rebuilds under its own `seg` quarantine, so a
-        # deterministic failure reproduces with identical diagnostics.
-        seg = None
-    return _Outcome("prepared", result=result, seg=seg)
+    return _Outcome("prepared", result=result)
 
 
 def _decode_worker_result(
@@ -597,9 +528,7 @@ def _decode_worker_result(
         "sched.dispatch.deserialize_seconds", "Worker-side payload unpickling"
     ).inc(time.perf_counter() - decode_started)
     kind = outcome[0]
-    # Outcomes grew a trailing timings dict; tolerate the older 7-tuple
-    # shape so a resumed pre-attribution journal still decodes.
-    timings = outcome[-1] if isinstance(outcome[-1], dict) else no_timings
+    timings = outcome[-1]
     if kind == "ok":
         _kind, _name, result, seg, seg_error, registry, spans = outcome[:7]
         _absorb_worker_observability(registry, spans, parent_uid)
