@@ -19,7 +19,7 @@ invalidates callers transitively as each caller's own signature shifts.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 from repro.lang import ast
 from repro.lang.pretty import pretty_function
@@ -52,30 +52,26 @@ def ast_fingerprint(func_ast: ast.FuncDef) -> str:
 
 def prepare_cache_key(
     func_ast: ast.FuncDef,
-    usable_signatures: Dict[str, ConnectorSignature],
-    own_callees: Iterable[str],
+    callee_signatures: Dict[str, ConnectorSignature],
     pta_tier: str = "fi",
 ) -> Tuple:
     """The full validity key for one function's prepared artifacts.
 
-    Only the signatures of functions this one actually calls
-    participate; unrelated edits elsewhere in the program must not
-    invalidate it.  Same-SCC callees are already absent from
-    ``usable_signatures`` (recursion is unrolled once, so those calls
-    are opaque and contribute nothing to the artifacts).
+    ``callee_signatures`` is the map its preparation reads
+    (:meth:`repro.ir.callgraph.CallGraph.published_callees`): only the
+    functions it actually calls, outside its own SCC, so unrelated
+    edits elsewhere in the program never invalidate it.
 
     The precision tier is part of the key: fi- and fs-prepared artifacts
     of the same function differ (strong updates change the heap states),
     so they must never collide under one content address.
     """
-    callees = set(own_callees)
     return (
         ast_fingerprint(func_ast),
         tuple(
             sorted(
                 (callee, signature_fingerprint(sig))
-                for callee, sig in usable_signatures.items()
-                if callee in callees
+                for callee, sig in callee_signatures.items()
             )
         ),
         ("pta", pta_tier),

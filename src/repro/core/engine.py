@@ -302,6 +302,11 @@ class Pinpoint:
                             violation.unit, ("seg", dropped.seg)
                         )
         self.seg_seconds = time.perf_counter() - start
+        seconds = get_registry().counter(
+            "engine.seconds", "Engine time by phase (seconds)"
+        )
+        seconds.inc(module.seconds, phase="prepare")
+        seconds.inc(self.seg_seconds, phase="seg")
 
     # ------------------------------------------------------------------
     @classmethod
@@ -451,8 +456,6 @@ class Pinpoint:
         func_ast = self.module.asts.get(name)
         if current is None or func_ast is None or name not in self.functions:
             return False
-        from repro.obs.metrics import get_registry
-
         get_registry().counter(
             "pta.escalations",
             "Functions re-prepared under the fs tier by report escalation",
@@ -517,28 +520,13 @@ class Pinpoint:
         from repro.cache.keys import key_digest, prepare_cache_key
         from repro.core.pipeline import prepare_function
 
-        callgraph = self.module.callgraph
-        scc_of: Dict[str, int] = {}
-        if callgraph is not None:
-            for index, scc in enumerate(callgraph.sccs()):
-                for member in scc:
-                    scc_of[member] = index
-        usable = {
-            other: prepared.signature
-            for other, prepared in self.module.functions.items()
-            if other != name
-            and scc_of.get(other, -1) != scc_of.get(name, -2)
-        }
+        callees = self.module.callgraph.published_callees(
+            name, self.module.functions
+        )
+        usable = {callee: prepared.signature for callee, prepared in callees.items()}
         digest = ""
-        if self._store is not None and callgraph is not None:
-            digest = key_digest(
-                prepare_cache_key(
-                    func_ast,
-                    usable,
-                    callgraph.callees.get(name, ()),
-                    pta_tier="fs",
-                )
-            )
+        if self._store is not None:
+            digest = key_digest(prepare_cache_key(func_ast, usable, pta_tier="fs"))
             hit = self._store.get(digest)
             if hit is not None:
                 _stored, result, seg = hit
@@ -748,6 +736,7 @@ class _CheckerRun:
         vertices, edges = self.engine.seg_size()
         self.stats.seg_vertices = vertices
         self.stats.seg_edges = edges
+        self.stats.seconds_prepare = self.engine.module.seconds
         self.stats.seconds_seg = self.engine.seg_seconds
         self.stats.seconds_search = time.perf_counter() - self._search_start
         self.stats.smt_queries = self.smt.queries

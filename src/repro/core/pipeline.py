@@ -20,6 +20,7 @@ treated as opaque external calls.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -115,6 +116,8 @@ class PreparedModule:
     # functions came from a reuse tier instead of being prepared.
     digests: Dict[str, str] = field(default_factory=dict)
     reused: int = 0
+    # Wall seconds of the preparation loop that built this module.
+    seconds: float = 0.0
 
     def __getitem__(self, name: str) -> PreparedFunction:
         return self.functions[name]
@@ -148,6 +151,7 @@ def prepare_module(
     from repro.verify import MODE_OFF, record_violations, resolve_mode, timed_verify
     from repro.verify.ir_verifier import verify_function_ir
 
+    started = time.perf_counter()
     verify_mode = resolve_mode(verify)
     prepared = PreparedModule()
     if diagnostics is not None:
@@ -167,10 +171,6 @@ def prepare_module(
     ast_by_name = {f.name: f for f in program.functions}
     prepared.asts = dict(ast_by_name)
     signatures: Dict[str, ConnectorSignature] = {}
-    scc_of: Dict[str, int] = {}
-    for index, scc in enumerate(callgraph.sccs()):
-        for member in scc:
-            scc_of[member] = index
 
     progress = get_progress()
     progress.set_stage("prepare", functions=len(order))
@@ -180,13 +180,7 @@ def prepare_module(
     for name in order:
         func_ast = ast_by_name[name]
 
-        # Signatures usable at this function's call sites: all known ones
-        # except same-SCC members (recursion unrolled once).
-        usable = {
-            callee: sig
-            for callee, sig in signatures.items()
-            if scc_of.get(callee) != scc_of.get(name)
-        }
+        usable = callgraph.published_callees(name, signatures)
         zone = Quarantine(log, STAGE_PREPARE, name, line=func_ast.line)
         with zone, trace("prepare.fn", unit=name):
             fault_point("prepare", name)
@@ -219,6 +213,7 @@ def prepare_module(
         prepared.functions[name] = result
         prepared.order.append(name)
         progress.tick(prepared=1)
+    prepared.seconds = time.perf_counter() - started
     _log.info(
         "module prepared",
         functions=len(prepared.functions),

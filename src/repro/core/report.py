@@ -124,6 +124,7 @@ class EngineStats:
     strong_updates: int = 0
     weak_updates: int = 0
     escalated_functions: int = 0
+    # Engine-wide (ENGINE_SECONDS): the same in every checker's stats.
     seconds_prepare: float = 0.0
     seconds_seg: float = 0.0
     seconds_search: float = 0.0
@@ -139,16 +140,17 @@ class EngineStats:
 
         Integer fields become ``engine.<field>`` counters and the
         ``seconds_*`` timings ``engine.seconds`` counters labeled by
-        phase, all labeled ``checker=<name>``.  Summary-cache lookups
-        additionally feed ``engine.summaries.{hit,miss}``.
+        phase, all labeled ``checker=<name>``, except the engine-wide
+        :data:`ENGINE_SECONDS`, which the engine publishes once.
+        Summary-cache lookups additionally feed ``engine.summaries.{hit,miss}``.
         """
         # Explicit None check: an empty MetricsRegistry is falsy (it has
         # __len__), so ``registry or get_registry()`` would ignore it.
         if registry is None:
             registry = get_registry()
         for name, value in self.as_dict().items():
-            if isinstance(value, str):
-                continue  # e.g. pta_tier: not a number, not a counter
+            if isinstance(value, str) or name in ENGINE_SECONDS:
+                continue  # pta_tier is not a number; see the docstring
             if name.startswith("seconds_"):
                 registry.counter(
                     "engine.seconds", "Engine time by phase (seconds)"
@@ -163,6 +165,10 @@ class EngineStats:
         registry.counter(
             "engine.summaries.miss", "Call sites with no callee summaries"
         ).inc(self.summary_misses, checker=checker)
+
+
+#: ``EngineStats`` timings measured once per engine, not per checker.
+ENGINE_SECONDS = ("seconds_prepare", "seconds_seg")
 
 
 @dataclass

@@ -10,9 +10,12 @@ the second encounter.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from functools import cached_property
+from typing import Dict, List, Mapping, Set, TypeVar
 
 from repro.ir import cfg
+
+T = TypeVar("T")
 
 
 class CallGraph:
@@ -90,12 +93,28 @@ class CallGraph:
             order.extend(sorted(scc))
         return order
 
+    @cached_property
+    def scc_of(self) -> Dict[str, int]:
+        """Function name -> index of its SCC in :meth:`sccs` order."""
+        return {m: index for index, scc in enumerate(self.sccs()) for m in scc}
+
+    def published_callees(
+        self, name: str, published: Mapping[str, T]
+    ) -> Dict[str, T]:
+        """``{callee: published[callee]}`` for the callees of ``name``
+        outside its SCC that appear in ``published``.
+
+        This is everything a function's preparation may read of other
+        functions (paper §3.3): same-SCC calls stay opaque (recursion is
+        unrolled once), and functions it does not call are irrelevant."""
+        scc = self.scc_of.get(name)
+        return {
+            callee: published[callee]
+            for callee in sorted(self.callees.get(name, ()))
+            if callee in published and self.scc_of[callee] != scc
+        }
+
     def is_recursive_call(self, caller: str, callee: str) -> bool:
         """Whether caller and callee share an SCC (mutual/self recursion)."""
-        if caller == callee:
-            return True
-        for scc in self.sccs():
-            members = set(scc)
-            if caller in members and callee in members:
-                return True
-        return False
+        scc_of = self.scc_of
+        return caller == callee or scc_of.get(caller, -1) == scc_of.get(callee, -2)

@@ -41,6 +41,7 @@ SCHEMA = "repro.why_slow/1"
 DISPATCH_SECONDS = (
     "sched.dispatch.serialize_seconds",
     "sched.dispatch.deserialize_seconds",
+    "sched.dispatch.result_decode_seconds",
     "sched.dispatch.queue_seconds",
     "sched.dispatch.warmup_seconds",
 )
@@ -333,6 +334,7 @@ def render_why_slow(document: Dict[str, Any], top: int = 10) -> str:
         for key in (
             "serialize_seconds",
             "deserialize_seconds",
+            "result_decode_seconds",
             "queue_seconds",
             "warmup_seconds",
             "barrier_waste_seconds",

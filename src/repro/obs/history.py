@@ -35,6 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.obs.attr import DISPATCH_BYTES, DISPATCH_SECONDS
 from repro.obs.export import append_line, atomic_write, ensure_parent_dir
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
@@ -203,26 +204,16 @@ def collect_run_record(
                 _gauge_value(registry, "attr.overhead_ratio"), 4
             ),
             "utilization": round(_gauge_value(registry, "attr.utilization"), 4),
+            # Same segments, same names as the why-slow overhead table.
             "dispatch": {
-                "serialize_seconds": round(
-                    _counter_total(registry, "sched.dispatch.serialize_seconds"), 6
-                ),
-                "serialize_bytes": int(
-                    _counter_total(registry, "sched.dispatch.serialize_bytes")
-                ),
-                "deserialize_seconds": round(
-                    _counter_total(registry, "sched.dispatch.deserialize_seconds"),
-                    6,
-                ),
-                "result_bytes": int(
-                    _counter_total(registry, "sched.dispatch.result_bytes")
-                ),
-                "queue_seconds": round(
-                    _counter_total(registry, "sched.dispatch.queue_seconds"), 6
-                ),
-                "warmup_seconds": round(
-                    _counter_total(registry, "sched.dispatch.warmup_seconds"), 6
-                ),
+                **{
+                    name.rsplit(".", 1)[-1]: round(_counter_total(registry, name), 6)
+                    for name in DISPATCH_SECONDS
+                },
+                **{
+                    name.rsplit(".", 1)[-1]: int(_counter_total(registry, name))
+                    for name in DISPATCH_BYTES
+                },
             },
         },
         "robust": {

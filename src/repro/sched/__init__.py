@@ -8,11 +8,15 @@ signatures.  This package condenses the call graph into SCC *waves*
 (:mod:`repro.sched.waves`), prepares each wave's functions on a process
 pool (:mod:`repro.sched.pool` / :mod:`repro.sched.worker`), and merges
 the results deterministically (:mod:`repro.sched.scheduler`): a
-``--jobs N`` run emits byte-identical reports to ``--jobs 1``.
+``--jobs N`` run emits byte-identical reports to ``--jobs 1``.  A task
+carries its function's AST plus its callees' signatures only, so
+payloads do not grow with the program.
 
-The interprocedural summary/checker pass stays serial — it is cheap
-relative to preparation and its context numbering is inherently
-sequential — which is precisely what makes parallel preparation safe.
+The interprocedural summary/checker pass stays serial — its context
+numbering is inherently sequential — which is precisely what makes
+parallel preparation safe.  It is not cheap: with all six checkers it
+takes most of the wall (see ``docs/parallelism.md``), which bounds what
+the pool can win.
 
 ``--jobs`` on the CLI, or the ``REPRO_JOBS`` environment variable;
 see :func:`resolve_jobs` and ``docs/parallelism.md``.

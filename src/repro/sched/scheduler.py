@@ -135,6 +135,7 @@ def prepare_program(
     )
     from repro.verify.ir_verifier import verify_function_ir
 
+    started = time.perf_counter()
     verify_mode = resolve_mode(verify)
     registry = get_registry()
     prepared = PreparedModule()
@@ -160,10 +161,6 @@ def prepare_program(
     serial_order = callgraph.bottom_up_order()
     ast_by_name = {f.name: f for f in program.functions}
     prepared.asts = dict(ast_by_name)
-    scc_of: Dict[str, int] = {}
-    for index, scc in enumerate(callgraph.sccs()):
-        for member in scc:
-            scc_of[member] = index
 
     waves = scc_waves(callgraph)
     registry.gauge("sched.jobs", "Worker processes of the last run").set(
@@ -199,19 +196,12 @@ def prepare_program(
                 pending: List[Tuple[str, ast.FuncDef, Dict[str, Any]]] = []
                 for name in names:
                     func_ast = ast_by_name[name]
-                    usable = {
-                        callee: sig
-                        for callee, sig in signatures.items()
-                        if scc_of.get(callee) != scc_of.get(name)
-                    }
+                    # A task carries its own callees' signatures only:
+                    # the same map feeds the content key and the payload.
+                    usable = callgraph.published_callees(name, signatures)
                     if store is not None or memory is not None:
                         digest = key_digest(
-                            prepare_cache_key(
-                                func_ast,
-                                usable,
-                                callgraph.callees.get(name, ()),
-                                pta_tier=pta_tier,
-                            )
+                            prepare_cache_key(func_ast, usable, pta_tier=pta_tier)
                         )
                         digest_of[name] = digest
                         hit = _lookup(name, digest, memory, store)
@@ -432,6 +422,7 @@ def prepare_program(
         if out.seg is not None:
             prepared.segs[name] = out.seg
 
+    prepared.seconds = time.perf_counter() - started
     prepared.reused = sum(1 for out in outcomes.values() if out.cached)
     prepared.digests = digest_of
     if memory is not None:
@@ -525,7 +516,7 @@ def _decode_worker_result(
             no_timings,
         )
     get_registry().counter(
-        "sched.dispatch.deserialize_seconds", "Worker-side payload unpickling"
+        "sched.dispatch.result_decode_seconds", "Parent-side result unpickling"
     ).inc(time.perf_counter() - decode_started)
     kind = outcome[0]
     timings = outcome[-1]

@@ -31,10 +31,7 @@ def scc_waves(callgraph: CallGraph) -> List[List[List[str]]]:
     """Waves of SCCs: ``waves[k]`` lists the SCCs whose callee SCCs all
     live in waves ``< k``.  Each SCC is a sorted list of member names."""
     sccs = callgraph.sccs()  # bottom-up: callees before callers
-    scc_of: Dict[str, int] = {}
-    for index, scc in enumerate(sccs):
-        for member in scc:
-            scc_of[member] = index
+    scc_of = callgraph.scc_of
 
     level: Dict[int, int] = {}
     for index, scc in enumerate(sccs):

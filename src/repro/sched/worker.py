@@ -2,10 +2,11 @@
 
 Each task prepares exactly one function (stage 1-3: connector
 transformation, intraprocedural points-to, SEG build) from a pickled
-``(name, FuncDef AST, usable callee signatures, wave index, pta tier,
-trace context)`` payload — the trace context is a ``(trace_id,
-parent_span_id, dispatched_at)`` triple naming the wave span that
-submitted the task — and ships back a pickled outcome tuple:
+``(name, FuncDef AST, callee signatures, wave index, pta tier, trace
+context)`` payload — the signatures are those of the functions it
+calls outside its SCC, nothing else; the trace context is a
+``(trace_id, parent_span_id, dispatched_at)`` triple naming the wave
+span that submitted the task — and ships back a pickled outcome tuple:
 
 - ``("ok", name, PreparedFunction, SEG | None, seg_error, registry,
   spans, timings)`` — the function prepared; ``seg_error`` is set (and
@@ -19,8 +20,10 @@ submitted the task — and ships back a pickled outcome tuple:
 ``queue_seconds`` (submission to pickup, measured against
 ``dispatched_at`` — valid under ``fork``, where parent and child share
 the ``perf_counter`` origin), ``deserialize_seconds`` (payload
-unpickling), ``warmup_seconds`` (first-task import cost in this worker
-process), and ``task_seconds`` (the actual compute).  The same values
+unpickling here; the parent times result unpickling separately as
+``sched.dispatch.result_decode_seconds``), ``warmup_seconds``
+(first-task import cost in this worker process), and ``task_seconds``
+(the actual compute).  The same values
 land as ``sched.dispatch.*`` counters in the returned registry so the
 parent's plain ``merge`` aggregates them across workers.
 

@@ -248,11 +248,9 @@ def verify_call_interfaces(module) -> List[Violation]:
     no call graph available, only transformed calls are checked.
     """
     violations: List[Violation] = []
-    scc_of: Dict[str, int] = {}
-    if module.callgraph is not None:
-        for index, scc in enumerate(module.callgraph.sccs()):
-            for member in scc:
-                scc_of[member] = index
+    scc_of: Dict[str, int] = (
+        module.callgraph.scc_of if module.callgraph is not None else {}
+    )
     for prepared in module:
         caller = prepared.name
         for instr in _iter_instrs(prepared.function):

@@ -18,6 +18,8 @@ from repro.cache.store import (
     open_store,
     resolve_cache_dir,
 )
+from repro.ir.callgraph import CallGraph
+from repro.ir.lower import lower_program
 from repro.lang.parser import parse_program
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 
@@ -180,10 +182,15 @@ def test_cache_key_ignores_uncalled_functions():
         aux_params = ()
         aux_returns = ()
 
+    # Keys are built from the scoped map the callgraph hands out, which
+    # leaves out every function ``main`` does not call.
+    callgraph = CallGraph(lower_program(parse_program(SOURCE)))
     called = {"helper": Sig()}
     with_stranger = {"helper": Sig(), "stranger": Sig()}
-    key_a = prepare_cache_key(main, called, {"helper"})
-    key_b = prepare_cache_key(main, with_stranger, {"helper"})
+    scoped = callgraph.published_callees("main", with_stranger)
+    assert list(scoped) == ["helper"]
+    key_a = prepare_cache_key(main, called)
+    key_b = prepare_cache_key(main, scoped)
     assert key_a == key_b
     assert key_digest(key_a) == key_digest(key_b)
 
@@ -197,8 +204,8 @@ def test_cache_key_sees_interface_changes():
             self.aux_params = aux
             self.aux_returns = ()
 
-    key_a = prepare_cache_key(main, {"helper": Sig(())}, {"helper"})
-    key_b = prepare_cache_key(main, {"helper": Sig(("p_aux",))}, {"helper"})
+    key_a = prepare_cache_key(main, {"helper": Sig(())})
+    key_b = prepare_cache_key(main, {"helper": Sig(("p_aux",))})
     assert key_a != key_b
     assert key_digest(key_a) != key_digest(key_b)
     assert signature_fingerprint(Sig(())) != signature_fingerprint(

@@ -174,6 +174,33 @@ def test_engine_stats_publish_mirrors_every_field():
     assert any(("phase", "solving") in labels for labels in phases)
 
 
+def test_engine_wide_seconds_published_once_per_engine():
+    # Preparation and SEG build happen once per engine, so --all must not
+    # count them once per checker; every checker reports the same
+    # preparation wall.
+    from repro import Pinpoint
+    from repro.cli import CHECKERS
+    from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
+
+    previous = get_registry()
+    registry = set_registry(MetricsRegistry())
+    try:
+        engine = Pinpoint.from_source(
+            "fn main() { p = malloc(); free(p); x = *p; return x; }", jobs=1
+        )
+        results = [engine.check(checker()) for checker in CHECKERS.values()]
+    finally:
+        set_registry(previous)
+    assert all(r.stats.seconds_prepare == engine.module.seconds > 0 for r in results)
+    samples = registry.get("engine.seconds").items()
+    assert [value for labels, value in samples if labels["phase"] == "prepare"] == [
+        engine.module.seconds
+    ]
+    assert [value for labels, value in samples if labels["phase"] == "seg"] == [
+        engine.seg_seconds
+    ]
+
+
 def test_summary_line_stable_format():
     import re
 

@@ -144,6 +144,7 @@ def test_collect_run_record_empty_registry():
             "serialize_seconds": 0.0,
             "serialize_bytes": 0,
             "deserialize_seconds": 0.0,
+            "result_decode_seconds": 0.0,
             "result_bytes": 0,
             "queue_seconds": 0.0,
             "warmup_seconds": 0.0,

@@ -155,3 +155,30 @@ def test_verify_fast_overhead_under_ten_percent():
         f"verifier consistently above 10% of analysis time across "
         f"{len(ratios)} runs: " + ", ".join(f"{100 * r:.1f}%" for r in ratios)
     )
+
+
+def test_task_payload_does_not_grow_with_program_size():
+    # A pool task carries its own AST plus its callees' signatures, so
+    # the mean payload stays flat as the program grows.  Carrying every
+    # published signature instead grows it ~4x from 1k to 5k lines.
+    from repro.lang.parser import parse_program
+    from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
+    from repro.sched.scheduler import prepare_program
+
+    previous = get_registry()
+    per_task = []
+    try:
+        for lines in (1000, 5000):
+            registry = set_registry(MetricsRegistry())
+            source = generate_program(
+                GeneratorConfig(seed=1, target_lines=lines)
+            ).source
+            prepare_program(parse_program(source), jobs=2)
+            tasks = registry.get("sched.tasks").total()
+            per_task.append(
+                registry.get("sched.dispatch.serialize_bytes").total() / tasks
+            )
+    finally:
+        set_registry(previous)
+    small, large = per_task
+    assert large < 1.25 * small, f"payload per task {small:.0f} -> {large:.0f} B"

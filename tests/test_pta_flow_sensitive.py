@@ -210,10 +210,10 @@ def test_verifier_flags_unjustified_strong_update():
 def test_cache_keys_differ_by_tier():
     program = parse_program(_case("bug_direct_uaf").source)
     func_ast = program.functions[0]
-    fi_key = prepare_cache_key(func_ast, {}, [], pta_tier="fi")
-    fs_key = prepare_cache_key(func_ast, {}, [], pta_tier="fs")
+    fi_key = prepare_cache_key(func_ast, {}, pta_tier="fi")
+    fs_key = prepare_cache_key(func_ast, {}, pta_tier="fs")
     assert fi_key != fs_key
-    assert prepare_cache_key(func_ast, {}, [], pta_tier="fs") == fs_key
+    assert prepare_cache_key(func_ast, {}, pta_tier="fs") == fs_key
 
 
 def test_resolve_pta_tier():
