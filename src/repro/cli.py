@@ -39,7 +39,7 @@ from repro.obs import (
     get_progress,
     get_registry,
     get_tracer,
-    measure,
+    measure_rss,
     profile_dict,
     render_profile,
     render_why_slow,
@@ -285,7 +285,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         pta_tier=getattr(args, "pta", "") or "",
     )
     names = list(CHECKERS) if args.all else [args.checker]
-    history_on = bool(resolve_history_dir(getattr(args, "history_dir", "")))
     monitor = _start_monitor(args)
     get_progress().begin_run("check", label=args.file)
 
@@ -302,15 +301,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         )
         return engine, [engine.check(CHECKERS[name]()) for name in names]
 
-    # Wall time and peak memory are only captured when a history record
-    # will want them — tracemalloc has real overhead, and a plain check
-    # should stay as fast as before this feature existed.
-    if history_on:
-        (engine, results), measurement = measure(analyze)
-        wall_seconds, peak_mb = measurement.seconds, measurement.peak_mb
-    else:
-        engine, results = analyze()
-        wall_seconds = peak_mb = 0.0
+    # Wall time and peak RSS for the history record: both are read from
+    # outside the analysis, so a recorded run costs what a plain one does.
+    (engine, results), measurement = measure_rss(analyze)
+    wall_seconds, peak_mb = measurement.seconds, measurement.peak_mb
 
     baseline = None
     if args.baseline:
@@ -471,7 +465,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         return [engine.check(CHECKERS[name]()) for name in names]
 
     get_progress().begin_run("profile", label=args.file)
-    results, measurement = measure(analyze)
+    results, measurement = measure_rss(analyze)
     reports = sum(len(result.reports) for result in results)
     degraded = sum(len(result.diagnostics) for result in results)
     document = profile_dict(
@@ -703,7 +697,7 @@ def cmd_why_slow(args: argparse.Namespace) -> int:
         return [engine.check(CHECKERS[name]()) for name in names]
 
     get_progress().begin_run("why-slow", label=args.file)
-    results, measurement = measure(analyze)
+    results, measurement = measure_rss(analyze)
     reports = sum(len(result.reports) for result in results)
     document = cost_breakdown(
         tracer,
@@ -896,7 +890,6 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
 
     _setup_obs(args)
     seeds = parse_seed_spec(args.seeds)
-    history_on = bool(resolve_history_dir(getattr(args, "history_dir", "")))
     monitor = _start_monitor(args)
     get_progress().begin_run("selfcheck", label=args.seeds)
 
@@ -911,12 +904,8 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
             cache_dir=args.cache_dir or None,
         )
 
-    if history_on:
-        report, measurement = measure(analyze)
-        wall_seconds, peak_mb = measurement.seconds, measurement.peak_mb
-    else:
-        report = analyze()
-        wall_seconds = peak_mb = 0.0
+    report, measurement = measure_rss(analyze)
+    wall_seconds, peak_mb = measurement.seconds, measurement.peak_mb
     document = report.as_dict()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -10,6 +10,16 @@ A :class:`Context` remembers which call site created it and in which
 parent context, so formal parameters surfacing later inside the cloned
 constraint can still be bound to the right actuals (the lazy part of
 Equations (2) and (3)).
+
+Cloning is memoized per (term, suffix).  A clone appends the context's
+suffix to every variable, so the clone of any subterm depends only on
+that subterm and the suffix, not on the root it was reached from or on
+the call site.  Suffixes repeat a great deal: :meth:`ContextAllocator.reset`
+restarts the ``~N`` idents for every function, and every checker clones
+the same callee summaries again.  The memo is owned by the
+:class:`~repro.core.engine.Pinpoint` engine, shared by all of its checker
+runs and freed with it; its entries are terms the hash-consing factory
+keeps anyway, so a hit returns the very object a fresh clone would build.
 """
 
 from __future__ import annotations
@@ -82,15 +92,22 @@ def rename_var(name: str, context: Optional[Context]) -> str:
     return name if context is None else name + context.suffix()
 
 
-def clone_term(term: Term, context: Optional[Context]) -> Term:
-    """Rename every variable in ``term`` into ``context``."""
+def clone_term(
+    term: Term, context: Optional[Context], memo: Optional[dict] = None
+) -> Term:
+    """Rename every variable in ``term`` into ``context``.
+
+    ``memo`` (suffix -> {term id: clone}) carries clones across calls;
+    the engine passes its own so each (subterm, suffix) pair is rebuilt
+    once per engine.  Without one, the call starts from an empty memo.
+    Either way the result is the hash-consed term that renaming every
+    variable ``v`` to ``v + context.suffix()`` builds.
+    """
     if context is None:
         return term
-    suffix = context.suffix()
-    mapping = {name: name + suffix for name in term.variables()}
-    if not mapping:
-        return term
-    return T.FACTORY.rename(term, mapping)
+    if memo is None:
+        memo = {}
+    return T.FACTORY.add_suffix(term, context.suffix(), memo)
 
 
 def ctx_ivar(name: str, context: Optional[Context]) -> Term:

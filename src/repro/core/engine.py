@@ -258,6 +258,10 @@ class Pinpoint:
         # Escalation memo: function name -> "did the fs tier change its
         # points-to facts" (False also covers "escalation kept fi").
         self._escalated: Dict[str, bool] = {}
+        # Context-cloning memo (suffix -> {term id: clone}), shared by
+        # every checker run of this engine and freed with it; see
+        # repro.core.context.
+        self.clone_memo: Dict[str, Dict[int, Term]] = {}
         self.functions: Dict[str, PinpointFunction] = {}
         # Artifacts quarantined by the verifier — ('cfg', Function) from
         # the IR pass, ('seg', SEG) from here — for --dump-on-verify-fail.
@@ -1382,13 +1386,10 @@ class _CheckerRun:
         """Assemble the global constraint for a trace (Eqs. 1-3)."""
         nodes = self._trace_vertices(trace)
         pieces: List[Term] = []
-        params: List[Tuple[str, str, Optional[Context]]] = []  # (func, param, ctx)
-        all_params: Set[Tuple[str, Optional[Context]]] = set()
         receiver_queue: List[Tuple[str, str, Optional[Context]]] = []
 
         current_run: List[tuple] = []
         run_function = pf.prepared.function.name
-        previous_vertex: Optional[tuple] = None
 
         def flush_run():
             nonlocal current_run
@@ -1396,39 +1397,26 @@ class _CheckerRun:
                 return
             constraint = pf.conditions.pc(current_run)
             pieces.append(constraint.term)
-            for param in constraint.params:
-                all_params.add((param, None))
             for receiver in constraint.receivers:
                 receiver_queue.append((run_function, receiver, None))
             current_run = []
 
         for node in nodes:
             if node.kind == "vertex":
-                func, vertex = node.payload
-                current_run.append(vertex)
-                previous_vertex = vertex
+                current_run.append(node.payload[1])
             elif node.kind == "vf1":
                 call, summary = node.payload
                 flush_run()
-                self._splice_summary(
-                    pf, call, summary, pieces, all_params, receiver_queue,
-                    link_entry=previous_vertex,
-                )
+                self._splice_summary(pf, call, summary, pieces, receiver_queue)
             elif node.kind in ("origin-vf2", "origin-vf3"):
                 call, summary = node.payload
-                self._splice_summary(
-                    pf, call, summary, pieces, all_params, receiver_queue,
-                    link_entry=None,
-                )
+                self._splice_summary(pf, call, summary, pieces, receiver_queue)
 
         flush_run()
 
-        constraint = Constraint(T.and_(*pieces))
-        term = constraint.term
-
-        # Lazily bind surfaced parameters and resolve receivers (Eqs. 2/3).
-        term = self._resolve(term, all_params, receiver_queue)
-        return Constraint(term)
+        # Lazily resolve receivers (Eqs. 2/3); root-context parameters
+        # stay free variables.
+        return Constraint(self._resolve(T.and_(*pieces), receiver_queue))
 
     def _splice_summary(
         self,
@@ -1436,16 +1424,18 @@ class _CheckerRun:
         call: cfg.Call,
         summary: VFSummary,
         pieces: List[Term],
-        all_params: Set[Tuple[str, Optional[Context]]],
         receiver_queue: List[Tuple[str, str, Optional[Context]]],
-        link_entry: Optional[tuple],
     ) -> None:
         """Clone a callee VF summary into a fresh context and add the
         junction equalities of Equation (3)."""
         context = self.contexts.new(summary.function, call, None)
         if context.depth > self.config.max_call_depth:
             return
-        cloned = clone_term(summary.constraint.term, context)
+        cloned = clone_term(
+            summary.constraint.term, context, self.engine.clone_memo
+        )
+        # The summary's own receiver deps were resolved when it was
+        # created; nothing further to enqueue for it.
         pieces.append(cloned)
 
         # The call statement itself must be reachable: its control
@@ -1454,8 +1444,6 @@ class _CheckerRun:
         # call to anchor CD through the local PC).
         call_cd = pf.conditions.cd(call.uid)
         pieces.append(call_cd.term)
-        for param in call_cd.params:
-            all_params.add((param, None))
         for receiver in call_cd.receivers:
             receiver_queue.append((pf.prepared.function.name, receiver, None))
 
@@ -1482,8 +1470,6 @@ class _CheckerRun:
                     )
                     caller_dd = pf.conditions.dd(actual.name)
                     pieces.append(caller_dd.term)
-                    for p2 in caller_dd.params:
-                        all_params.add((p2, None))
                     for r2 in caller_dd.receivers:
                         receiver_queue.append(
                             (pf.prepared.function.name, r2, None)
@@ -1512,14 +1498,9 @@ class _CheckerRun:
                                 T.eq(T.int_var(receiver), T.const(value.value))
                             )
 
-        # The summary's own receiver deps were resolved when it was
-        # created; nothing further to enqueue for it.
-        del link_entry
-
     def _resolve(
         self,
         term: Term,
-        params: Set[Tuple[str, Optional[Context]]],
         receiver_queue: List[Tuple[str, str, Optional[Context]]],
     ) -> Term:
         """Resolve receiver dependencies via RV summaries (Eq. 2).
@@ -1529,7 +1510,6 @@ class _CheckerRun:
         parameters to the call's actuals, recursively, bounded by the
         context depth limit.
         """
-        del params  # root parameters stay free
         pieces: List[Term] = [term]
         processed: Set[Tuple[str, str, Optional[Context]]] = set()
         queue = list(receiver_queue)
@@ -1561,7 +1541,9 @@ class _CheckerRun:
             new_context = self.contexts.new(call.callee, call, context)
             if new_context.depth > self.config.max_call_depth:
                 continue
-            cloned = clone_term(rv.constraint.term, new_context)
+            cloned = clone_term(
+                rv.constraint.term, new_context, self.engine.clone_memo
+            )
             receiver_term = ctx_ivar(receiver, context)
             receiver_bool = ctx_bvar(receiver, context)
             if isinstance(rv.value, cfg.Var):
@@ -1586,7 +1568,9 @@ class _CheckerRun:
                         T.iff(ctx_bvar(param, new_context), ctx_bvar(actual.name, context))
                     )
                     caller_dd = pf.conditions.dd(actual.name)
-                    pieces.append(clone_term(caller_dd.term, context))
+                    pieces.append(
+                        clone_term(caller_dd.term, context, self.engine.clone_memo)
+                    )
                     for r2 in caller_dd.receivers:
                         queue.append((func_name, r2, context))
                 else:
@@ -1691,9 +1675,7 @@ class _CheckerRun:
         )
         if dd.receivers:
             term = self._resolve(
-                term,
-                set(),
-                [(pf.prepared.function.name, r, None) for r in dd.receivers],
+                term, [(pf.prepared.function.name, r, None) for r in dd.receivers]
             )
         return term
 

@@ -13,7 +13,8 @@ SMT):
 - **structured logging** (:mod:`repro.obs.log`): ``--log-level`` /
   ``--log-json`` over stdlib logging;
 - **measurement** (:mod:`repro.obs.measure`): nesting-safe wall-time /
-  peak-memory capture shared with the benchmark harness;
+  tracemalloc peak capture for the benchmark harness, and wall-time /
+  peak-RSS capture for the CLI's history records;
 - **profiling** (:mod:`repro.obs.profiling`): the ``repro profile``
   per-pass / per-function report (``--json`` for the machine twin);
 - **cost attribution** (:mod:`repro.obs.attr`): critical-path analysis
@@ -47,7 +48,7 @@ from repro.obs.history import (
     write_bench_file,
 )
 from repro.obs.log import StructuredLogger, configure as configure_logging, get_logger
-from repro.obs.measure import Measurement, measure, time_only
+from repro.obs.measure import Measurement, measure, measure_rss, time_only
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -83,6 +84,7 @@ __all__ = [
     "get_logger",
     "Measurement",
     "measure",
+    "measure_rss",
     "time_only",
     "Counter",
     "Gauge",

@@ -1,14 +1,17 @@
 """Wall-time and peak-memory measurement (nesting-safe).
 
 This is the home of the ``Measurement`` machinery the benchmark harness
-and ``repro profile`` share; :mod:`repro.bench.metrics` re-exports it for
-backward compatibility.
+and the CLI share; :mod:`repro.bench.metrics` re-exports it for backward
+compatibility.
 
-Peak memory is tracemalloc's high-water mark over the call — the same
-"how much memory does building this graph take" question the paper's
-Figs. 8-9 ask.  tracemalloc adds overhead, so time and memory
+:func:`measure` takes peak memory as tracemalloc's high-water mark over
+the call — the same "how much memory does building this graph take"
+question the paper's Figs. 8-9 ask.  tracemalloc adds overhead (a
+several-fold slowdown on allocation-heavy analyses), so time and memory
 comparisons stay apples-to-apples as long as both systems are measured
-this way.
+this way.  :func:`measure_rss` answers "what did this run cost" for the
+CLI's history records instead: wall time plus the peak resident set
+size from ``getrusage``, at no overhead.
 
 Nesting: earlier versions unconditionally ``tracemalloc.start()`` /
 ``stop()`` and ``reset_peak()``, so a ``measure`` inside a ``measure``
@@ -22,6 +25,7 @@ measurement that started it.
 from __future__ import annotations
 
 import gc
+import resource
 import time
 import tracemalloc
 from dataclasses import dataclass
@@ -87,6 +91,23 @@ def measure(thunk: Callable[[], T]) -> Tuple[T, Measurement]:
         if owner:
             tracemalloc.stop()
     return result, Measurement(seconds, max(0, frame.peak - frame.baseline))
+
+
+def measure_rss(thunk: Callable[[], T]) -> Tuple[T, Measurement]:
+    """Run ``thunk`` measuring wall time and the peak resident set size.
+
+    The peak is the process's own high-water RSS plus that of its
+    largest finished child (a worker pool's), read from ``getrusage``
+    after the call.  It is a whole-process figure, not an increment over
+    a baseline, and it costs nothing while ``thunk`` runs.
+    """
+    start = time.perf_counter()
+    result = thunk()
+    seconds = time.perf_counter() - start
+    # ru_maxrss is in kilobytes on Linux.
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    return result, Measurement(seconds, (own + children) * 1024)
 
 
 def time_only(thunk: Callable[[], T]) -> Tuple[T, float]:

@@ -431,9 +431,9 @@ class TermFactory:
     def rename(self, term: Term, mapping: dict, cache: Optional[dict] = None) -> Term:
         """Rename variables per ``mapping`` (old name -> new name).
 
-        Used by the engine's cloning-based context sensitivity: a callee's
-        summarized constraint is cloned per call site by renaming all its
-        variables with a context suffix (Section 3.3.1(2)).
+        The general form of context cloning: the engine's hot path uses
+        :meth:`add_suffix`, which builds the same terms as renaming every
+        variable ``v`` to ``v + suffix`` (Section 3.3.1(2)).
         """
         if cache is None:
             cache = {}
@@ -450,6 +450,35 @@ class TermFactory:
             result = term
         else:
             new_args = tuple(self._rename(a, mapping, cache) for a in term.args)
+            if all(n is o for n, o in zip(new_args, term.args)):
+                result = term
+            else:
+                result = self._rebuild(term.kind, new_args)
+        cache[term._id] = result
+        return result
+
+    def add_suffix(self, term: Term, suffix: str, memo: dict) -> Term:
+        """Append ``suffix`` to every variable name in ``term``.
+
+        The same result as :meth:`rename` with the mapping
+        ``{v: v + suffix for v in term.variables()}``, without building
+        that mapping.  The clone of a subterm depends only on (subterm,
+        suffix), whichever root it sits in, so ``memo`` (suffix ->
+        {term id: clone}) may be kept across calls: a node is rebuilt
+        only the first time it is seen with a given suffix.
+        """
+        return self._add_suffix(term, suffix, memo.setdefault(suffix, {}))
+
+    def _add_suffix(self, term: Term, suffix: str, cache: dict) -> Term:
+        hit = cache.get(term._id)
+        if hit is not None:
+            return hit
+        if term.kind in (KIND_BOOL_VAR, KIND_INT_VAR):
+            result = self._mk(term.kind, (), term.value + suffix)
+        elif not term.args:
+            result = term
+        else:
+            new_args = tuple(self._add_suffix(a, suffix, cache) for a in term.args)
             if all(n is o for n, o in zip(new_args, term.args)):
                 result = term
             else:

@@ -215,7 +215,10 @@ def test_check_sarif_invocation_properties(uaf_file, capsys):
 
 
 def test_profile_smoke(uaf_file, capsys):
-    code = main(["profile", uaf_file, "--top", "5"])
+    # Under REPRO_JOBS=2 the pool's spans lead the table, and checker.fn
+    # ranks about fifth on this one-function file, so a top-5 cut made
+    # the assertion below depend on timing noise.
+    code = main(["profile", uaf_file, "--top", "10"])
     assert code == 0
     out = capsys.readouterr().out
     assert "repro profile" in out

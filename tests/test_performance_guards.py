@@ -182,3 +182,77 @@ def test_task_payload_does_not_grow_with_program_size():
         set_registry(previous)
     small, large = per_task
     assert large < 1.25 * small, f"payload per task {small:.0f} -> {large:.0f} B"
+
+
+def test_clone_work_does_not_grow_with_identical_callers(monkeypatch):
+    # Every caller below splices the same callee summary into the same
+    # context suffix (idents restart per function), so the engine's
+    # clone memo rebuilds its nodes once.  Without the memo the rebuild
+    # count grows with the number of callers (8x from 10 to 80).
+    from repro.cli import CHECKERS
+    from repro.smt import terms as T
+
+    callee = (
+        "fn release(p, c) {\n"
+        "    if (c > 3) {\n"
+        "        free(p);\n"
+        "    }\n"
+        "    return 0;\n"
+        "}\n"
+    )
+    caller = (
+        "fn caller{i}(c) {{\n"
+        "    p = malloc();\n"
+        "    r = release(p, c);\n"
+        "    x = *p;\n"
+        "    return x;\n"
+        "}}\n"
+    )
+    original = T.FACTORY._rebuild
+    calls = [0]
+
+    def counting(kind, args):
+        calls[0] += 1
+        return original(kind, args)
+
+    monkeypatch.setattr(T.FACTORY, "_rebuild", counting)
+    counts = []
+    for callers in (10, 80):
+        source = callee + "".join(caller.format(i=i) for i in range(callers))
+        engine = Pinpoint.from_source(source)
+        calls[0] = 0
+        results = [engine.check(checker()) for checker in CHECKERS.values()]
+        counts.append(calls[0])
+        assert sum(len(result.reports) for result in results) >= callers
+    small, large = counts
+    assert 0 < small and large < 1.25 * small, f"rebuilds {small} -> {large}"
+
+
+def test_history_recording_overhead_under_two_x(tmp_path):
+    # A history-recorded check reads its wall time and peak RSS from
+    # outside the analysis.  Wrapping the run in tracemalloc instead
+    # made it 5-6x slower than a plain check.  Best of two runs each,
+    # after a warm-up run, so the shared term table is equally warm.
+    import contextlib
+    import io
+
+    from repro.cli import main
+
+    subject = tmp_path / "g2000.pin"
+    subject.write_text(
+        generate_program(GeneratorConfig(seed=1, target_lines=2000)).source
+    )
+    history = tmp_path / "history"
+
+    def timed(*extra):
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["check", str(subject), "--all", "--json", *extra])
+        assert code in (0, 1)
+        return time.perf_counter() - start
+
+    timed()
+    plain = min(timed() for _ in range(2))
+    recorded = min(timed("--history-dir", str(history)) for _ in range(2))
+    assert any(history.iterdir()), "the recorded run wrote no history"
+    assert recorded <= 2 * plain, f"plain {plain:.2f}s, recorded {recorded:.2f}s"

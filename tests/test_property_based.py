@@ -207,3 +207,31 @@ def test_rename_variables_disjoint(term):
     renamed = T.FACTORY.rename(term, mapping)
     if mapping:
         assert not (renamed.variables() & term.variables())
+
+
+@given(bool_terms(), st.integers(1, 4), st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_memoized_clone_matches_rename(term, i, j):
+    """Context cloning through a shared memo returns the very term the
+    reference rename builds, on a memo miss and on a memo hit, for a
+    clone and for a clone of that clone (suffix chain ``~i~j``)."""
+    from repro.core.context import Context, clone_term
+
+    outer = Context(i, "f", None, None)
+    inner = Context(j, "g", None, outer)
+
+    def oracle(t, context):
+        suffix = context.suffix()
+        return T.FACTORY.rename(t, {v: v + suffix for v in t.variables()})
+
+    memo: dict = {}
+    once = oracle(term, outer)
+    assert clone_term(term, outer, memo) is once  # miss: the memo was empty
+    assert term.ident in memo[outer.suffix()]
+    assert clone_term(term, outer, memo) is once  # hit
+    assert clone_term(term, outer) is once  # no memo at all
+
+    twice = oracle(once, inner)
+    assert clone_term(once, inner, memo) is twice
+    assert once.ident in memo[inner.suffix()]
+    assert clone_term(once, inner, memo) is twice  # hit
