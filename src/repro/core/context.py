@@ -24,7 +24,6 @@ keeps anyway, so a hit returns the very object a fresh clone would build.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -71,13 +70,21 @@ class ContextAllocator:
     replay a function's results byte-identically.  Suffix *chains* stay
     unambiguous because :func:`clone_term` renames every variable of the
     cloned constraint, so nested clones accumulate ``~i~j`` paths that
-    are unique within the function even though idents restart."""
+    are unique within the function even though idents restart.
+
+    ``position`` is the ident of the last context handed out (0 after a
+    reset).  The engine's memo of assembled path conditions keys each
+    entry by the position at entry, because the idents an assembly
+    allocates start right after it.  A hit then moves the position on by
+    the number of contexts the original assembly allocated, so every
+    later ident — and every report's condition string — stays
+    byte-identical to a run without the memo."""
 
     def __init__(self) -> None:
-        self._counter = itertools.count(1)
+        self.position = 0
 
     def reset(self) -> None:
-        self._counter = itertools.count(1)
+        self.position = 0
 
     def new(
         self,
@@ -85,7 +92,8 @@ class ContextAllocator:
         call: Optional[cfg.Call],
         parent: Optional[Context],
     ) -> Context:
-        return Context(next(self._counter), function, call, parent)
+        self.position += 1
+        return Context(self.position, function, call, parent)
 
 
 def rename_var(name: str, context: Optional[Context]) -> str:

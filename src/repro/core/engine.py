@@ -153,6 +153,52 @@ class _TraceNode:
     prev: Optional["_TraceNode"]
 
 
+def _trace_signature(trace: Optional[_TraceNode]) -> tuple:
+    """Everything :meth:`_CheckerRun._build_condition` reads from a
+    trace, newest node first.
+
+    A vertex node contributes its vertex key (every vertex node of a
+    trace lies in the searching function).  A summary node contributes
+    what splicing the summary reads: its kind, the call's uid, and the
+    summary's function, constraint term, parameters and slots.  Two
+    traces with equal signatures assemble to the same condition, even
+    when their summaries are distinct objects (as they are in two
+    checker runs).
+    """
+    signature = []
+    node = trace
+    while node is not None:
+        if node.kind == "vertex":
+            signature.append(node.payload[1])
+        else:
+            call, summary = node.payload
+            signature.append(
+                (
+                    node.kind,
+                    call.uid,
+                    summary.function,
+                    summary.constraint.term,
+                    summary.constraint.params,
+                    summary.param_slot,
+                    summary.ret_slot,
+                )
+            )
+        node = node.prev
+    return tuple(signature)
+
+
+@dataclass(slots=True)
+class _Assembly:
+    """One memoized path-condition assembly (see
+    :meth:`_CheckerRun._assemble`)."""
+
+    term: Term
+    contexts: int  # contexts the assembly allocated
+    # The condition as a summary constraint, with its free interface
+    # parameters; filled in the first time a summary records it.
+    summary: Optional[Constraint] = None
+
+
 @dataclass(frozen=True)
 class _Origin:
     """Where the tracked value was born, for reporting."""
@@ -262,6 +308,10 @@ class Pinpoint:
         # every checker run of this engine and freed with it; see
         # repro.core.context.
         self.clone_memo: Dict[str, Dict[int, Term]] = {}
+        # Assembled path conditions (key -> _Assembly), shared by every
+        # checker run of this engine and freed with it; see
+        # _CheckerRun._assemble.
+        self.assembly_memo: Dict[tuple, _Assembly] = {}
         self.functions: Dict[str, PinpointFunction] = {}
         # Artifacts quarantined by the verifier — ('cfg', Function) from
         # the IR pass, ('seg', SEG) from here — for --dump-on-verify-fail.
@@ -514,6 +564,10 @@ class Pinpoint:
             return False
         self.module.functions[name] = prepared_fs
         self.functions[name] = pf
+        # Callers resolve receivers through this function's artifacts.
+        # Memo keys name artifacts by object, so no entry built on the
+        # swapped-out ones can hit again: drop them all.
+        self.assembly_memo.clear()
         self._escalated[name] = True
         log.info("function escalated to fs tier", function=name)
         return True
@@ -718,6 +772,11 @@ class _CheckerRun:
         ):
             self._memo_table = engine.check_memo.table(checker.name)
         self._memo_keys: Dict[str, str] = {}
+        # Callees whose summaries the current function's call sites see,
+        # with their artifacts: part of every assembly-memo key.
+        self._visible: frozenset = frozenset()
+        self._assembly_hits = 0
+        self._assembly_misses = 0
 
     # ------------------------------------------------------------------
     def execute(self) -> CheckResult:
@@ -765,6 +824,12 @@ class _CheckerRun:
             self.engine.diagnostics.quarantined_units()
         )
         self.stats.publish(self.checker.name)
+        assembly = get_registry().counter(
+            "engine.assembly",
+            "Path-condition assemblies by assembly-memo result",
+        )
+        assembly.inc(self._assembly_hits, result="hit")
+        assembly.inc(self._assembly_misses, result="miss")
         log.info(
             "checker finished",
             checker=self.checker.name,
@@ -934,6 +999,11 @@ class _CheckerRun:
         prepared = pf.prepared
         summaries = FunctionSummaries(name)
         self.summaries[name] = summaries
+        self._visible = frozenset(
+            (call.callee, self.engine.functions.get(call.callee))
+            for call in pf.seg.call_sites
+            if call.callee in self.summaries
+        )
         with obs_trace("summaries.rv", unit=name):
             self._build_rv_summaries(pf, summaries)
         lint_after = self.engine.verify_mode == verify_mod.MODE_FULL
@@ -1382,7 +1452,43 @@ class _CheckerRun:
         path.reverse()
         return path
 
-    def _assemble(self, pf: PinpointFunction, trace: _TraceNode) -> Constraint:
+    def _assemble(
+        self, pf: PinpointFunction, trace: _TraceNode, nonnull_var: str = ""
+    ) -> _Assembly:
+        """The global path condition of ``trace`` (Eqs. 1-3), conjoined
+        with the non-null condition of ``nonnull_var`` when one is given,
+        through the engine's assembly memo.
+
+        An assembly reads the function's artifacts, the summaries visible
+        at its call sites (RV summaries resolve receivers), the trace,
+        and the context allocator's position, which fixes the ``~N``
+        idents it allocates.  Those make up the key; nothing in it is
+        checker-specific, so checkers that share a source family share
+        their assemblies.  A hit advances the allocator past as many
+        contexts as the original assembly allocated, so later idents are
+        the ones a fresh assembly would leave behind.
+        """
+        key = (
+            pf, self._visible, self.contexts.position, nonnull_var
+        ) + _trace_signature(trace)
+        memo = self.engine.assembly_memo
+        entry = memo.get(key)
+        if entry is not None:
+            self._assembly_hits += 1
+            self.contexts.position += entry.contexts
+            return entry
+        self._assembly_misses += 1
+        start = self.contexts.position
+        term = self._build_condition(pf, trace)
+        if nonnull_var:
+            term = T.and_(term, self._nonnull_source_term(pf, nonnull_var))
+        entry = _Assembly(term, self.contexts.position - start)
+        memo[key] = entry
+        return entry
+
+    def _build_condition(
+        self, pf: PinpointFunction, trace: _TraceNode
+    ) -> Term:
         """Assemble the global constraint for a trace (Eqs. 1-3)."""
         nodes = self._trace_vertices(trace)
         pieces: List[Term] = []
@@ -1416,7 +1522,7 @@ class _CheckerRun:
 
         # Lazily resolve receivers (Eqs. 2/3); root-context parameters
         # stay free variables.
-        return Constraint(self._resolve(T.and_(*pieces), receiver_queue))
+        return self._resolve(T.and_(*pieces), receiver_queue)
 
     def _splice_summary(
         self,
@@ -1650,29 +1756,32 @@ class _CheckerRun:
             # Budget exhausted: keep the summary's linking structure but
             # drop its constraint (sound, path-insensitive).
             return TRUE_CONSTRAINT
-        constraint = self._assemble(pf, trace)
-        # Recover the parameter set: free interface variables of this
-        # function occurring in the term.
-        function = pf.prepared.function
-        iface = set(interface_params(function))
-        used = constraint.term.variables()
-        params = frozenset(name for name in used if name in iface)
-        return Constraint(constraint.term, params=params)
+        entry = self._assemble(pf, trace)
+        if entry.summary is None:
+            # Recover the parameter set: free interface variables of this
+            # function occurring in the term.
+            iface = set(interface_params(pf.prepared.function))
+            used = entry.term.variables()
+            params = frozenset(name for name in used if name in iface)
+            entry.summary = Constraint(entry.term, params=params)
+        return entry.summary
 
     # ------------------------------------------------------------------
     # Candidates -> reports
     # ------------------------------------------------------------------
-    def _nonnull_source_term(self, pf: PinpointFunction, origin: _Origin) -> Term:
+    def _nonnull_var(self, origin: _Origin) -> str:
         """For checkers where a null tracked value is inert (free(null)
-        is a no-op): the tracked value must be non-null, together with
-        its defining constraints (so an undefined/zero value rules the
-        candidate out)."""
-        if not getattr(self.checker, "null_inert", False) or not origin.root_var:
-            return T.TRUE
-        dd = pf.conditions.dd(origin.root_var)
-        term = T.and_(
-            dd.term, T.ne(T.int_var(origin.root_var), T.const(0))
-        )
+        is a no-op): the variable that must be non-null for a report
+        ("" when the checker has no such requirement)."""
+        if not getattr(self.checker, "null_inert", False):
+            return ""
+        return origin.root_var
+
+    def _nonnull_source_term(self, pf: PinpointFunction, var: str) -> Term:
+        """``var`` is non-null, together with its defining constraints
+        (so an undefined/zero value rules the candidate out)."""
+        dd = pf.conditions.dd(var)
+        term = T.and_(dd.term, T.ne(T.int_var(var), T.const(0)))
         if dd.receivers:
             term = self._resolve(
                 term, [(pf.prepared.function.name, r, None) for r in dd.receivers]
@@ -1686,10 +1795,8 @@ class _CheckerRun:
         if self.reduced_precision:
             constraint = TRUE_CONSTRAINT
         else:
-            constraint = self._assemble(pf, trace)
-            constraint = Constraint(
-                T.and_(constraint.term, self._nonnull_source_term(pf, origin))
-            )
+            entry = self._assemble(pf, trace, self._nonnull_var(origin))
+            constraint = Constraint(entry.term)
         self._decide_and_report(pf, origin, trace, sink.line, sink.value_var, constraint)
 
     def _candidate_via_callee(
@@ -1705,10 +1812,8 @@ class _CheckerRun:
         if self.reduced_precision:
             constraint = TRUE_CONSTRAINT
         else:
-            constraint = self._assemble(pf, full_trace)
-            constraint = Constraint(
-                T.and_(constraint.term, self._nonnull_source_term(pf, origin))
-            )
+            entry = self._assemble(pf, full_trace, self._nonnull_var(origin))
+            constraint = Constraint(entry.term)
         sink_function = vf4.origin_function or vf4.function
         sink_line = vf4.origin_line or vf4.sink_line
         sink_var = vf4.origin_var or vf4.sink_var

@@ -256,3 +256,35 @@ def test_history_recording_overhead_under_two_x(tmp_path):
     recorded = min(timed("--history-dir", str(history)) for _ in range(2))
     assert any(history.iterdir()), "the recorded run wrote no history"
     assert recorded <= 2 * plain, f"plain {plain:.2f}s, recorded {recorded:.2f}s"
+
+
+def test_second_run_of_a_checker_assembles_nothing(monkeypatch):
+    # Path conditions are memoized per engine, keyed by what an assembly
+    # reads (function, visible callee summaries, trace, context ident at
+    # entry), none of it checker-specific.  Running a checker again on
+    # the same engine must therefore hit the memo for every condition:
+    # no local path condition is built and no callee summary is cloned.
+    from repro.core import engine as engine_mod
+    from repro.seg.conditions import ConditionBuilder
+
+    program = generate_program(GeneratorConfig(seed=7, target_lines=600))
+    engine = Pinpoint.from_source(program.source, jobs=1)
+    counts = {"pc": 0, "clone": 0}
+    pc, clone = ConditionBuilder.pc, engine_mod.clone_term
+
+    def counting_pc(self, path):
+        counts["pc"] += 1
+        return pc(self, path)
+
+    def counting_clone(*args, **kwargs):
+        counts["clone"] += 1
+        return clone(*args, **kwargs)
+
+    monkeypatch.setattr(ConditionBuilder, "pc", counting_pc)
+    monkeypatch.setattr(engine_mod, "clone_term", counting_clone)
+    first = engine.check(UseAfterFreeChecker())
+    assert counts["pc"] > 0 and counts["clone"] > 0, counts
+    counts.update(pc=0, clone=0)
+    second = engine.check(UseAfterFreeChecker())
+    assert counts == {"pc": 0, "clone": 0}
+    assert second.reports == first.reports and second.reports

@@ -1,13 +1,20 @@
 """Property-based tests (hypothesis) for core data structures and
 invariants."""
 
+from pathlib import Path
+from unittest import mock
+
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
+from repro.cli import CHECKERS
 from repro.smt import terms as T
 from repro.smt.linear_solver import LinearSolver
 from repro.smt.simplify import simplify
 from repro.smt.solver import Result, SMTSolver
+from repro.synth.generator import GeneratorConfig, generate_program
+from repro.synth.precision import generate_precision_suite, suite_source
 
 
 # ----------------------------------------------------------------------
@@ -235,3 +242,85 @@ def test_memoized_clone_matches_rename(term, i, j):
     assert clone_term(once, inner, memo) is twice
     assert once.ident in memo[inner.suffix()]
     assert clone_term(once, inner, memo) is twice  # hit
+
+
+# ----------------------------------------------------------------------
+# Engine-wide assembly memo: transparent and checker-order independent
+# ----------------------------------------------------------------------
+_CORPUS = sorted(
+    str(path) for path in (Path(__file__).parent / "corpus").glob("*.pin")
+)
+_CHECKER_NAMES = sorted(CHECKERS)
+
+
+def _check_capturing(engine, name):
+    """Run checker ``name`` on ``engine``: its reports, diagnostics and
+    the summaries of its (last) bottom-up pass, function by function."""
+    from repro.core import engine as engine_mod
+
+    passes = []
+    finish = engine_mod._CheckerRun.finish
+
+    def capturing(run):
+        passes.append(dict(run.summaries))
+        return finish(run)
+
+    with mock.patch.object(engine_mod._CheckerRun, "finish", capturing):
+        result = engine.check(CHECKERS[name]())
+    return result.reports, result.diagnostics, passes[-1]
+
+
+class _NeverStores(dict):
+    """An assembly memo that never hits: every condition is built."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _assert_memo_transparent(source, tier, order):
+    """One engine runs all six checkers in ``order``, sharing its
+    assembly memo; each checker's reports, diagnostics and per-function
+    summaries (constraints included) must equal those of a fresh engine
+    that builds every condition itself."""
+    from repro.core.engine import EngineConfig, Pinpoint
+
+    def engine():
+        return Pinpoint.from_source(
+            source, EngineConfig(pta_tier=tier), recover=True, jobs=1
+        )
+
+    shared = engine()
+    together = {name: _check_capturing(shared, name) for name in order}
+    for name in order:
+        fresh = engine()
+        fresh.assembly_memo = _NeverStores()
+        assert together[name] == _check_capturing(fresh, name), name
+
+
+@pytest.mark.parametrize("tier", ["fi", "fs"])
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    order=st.permutations(_CHECKER_NAMES),
+)
+@settings(max_examples=6, deadline=None)
+def test_assembly_memo_transparent_on_generated_programs(tier, seed, order):
+    source = generate_program(
+        GeneratorConfig(seed=seed, target_lines=250, taint_period=3)
+    ).source
+    _assert_memo_transparent(source, tier, order)
+
+
+@pytest.mark.parametrize("tier", ["fi", "fs"])
+@pytest.mark.parametrize(
+    "subject", [*_CORPUS, "precision"], ids=lambda subject: Path(subject).name
+)
+@given(order=st.permutations(_CHECKER_NAMES))
+@settings(max_examples=2, deadline=None)
+def test_assembly_memo_transparent_on_corpus(tier, subject, order):
+    # "precision" is the curated fs-tier suite, whose strong updates make
+    # escalation swap functions between the two passes of a checker.
+    if subject == "precision":
+        source = suite_source(generate_precision_suite())
+    else:
+        source = Path(subject).read_text()
+    _assert_memo_transparent(source, tier, order)
